@@ -153,12 +153,14 @@ impl FlightRecorder {
     }
 
     /// Record one event, stamping the next monotonic sequence number.
+    /// The number is taken under the ring lock, so the ring is always in
+    /// sequence order however many threads record at once.
     /// Never panics: a poisoned ring lock (a worker died mid-record) is
     /// recovered, because the recorder must keep working *especially*
     /// after a crash.
     pub fn record(&self, event: TraceEvent) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         if ring.len() == self.cap {
             ring.pop_front();
         }

@@ -31,9 +31,10 @@ pub struct CategoryTimeline {
     pub seg_len: f64,
     /// Number of distinct categories.
     pub n_categories: usize,
-    /// Prefix counts `prefix[t][c]` = occurrences of `c` in segments `[0,t)`;
-    /// makes any window histogram O(|C|).
-    prefix: Vec<Vec<u32>>,
+    /// Row-major prefix counts: `prefix[t * n_categories + c]` =
+    /// occurrences of `c` in segments `[0,t)`; makes any window histogram
+    /// O(|C|) from one allocation per timeline.
+    prefix: Vec<u32>,
 }
 
 impl CategoryTimeline {
@@ -45,27 +46,13 @@ impl CategoryTimeline {
         seg_len: f64,
         n_categories: usize,
     ) -> Result<Self, SkyError> {
-        if !seg_len.is_finite() || seg_len <= 0.0 {
-            return Err(SkyError::InvalidInput {
-                what: "timeline segment length must be positive",
-            });
-        }
-        if n_categories == 0 {
-            return Err(SkyError::InvalidInput {
-                what: "timeline needs at least one category",
-            });
-        }
-        let mut prefix = Vec::with_capacity(categories.len() + 1);
-        prefix.push(vec![0u32; n_categories]);
+        check_timeline_input(&categories, seg_len, n_categories)?;
+        let mut prefix = Vec::with_capacity((categories.len() + 1) * n_categories);
+        prefix.resize(n_categories, 0u32);
         for (i, &c) in categories.iter().enumerate() {
-            if c >= n_categories {
-                return Err(SkyError::InvalidInput {
-                    what: "timeline category label out of range",
-                });
-            }
-            let mut row = prefix[i].clone();
-            row[c] += 1;
-            prefix.push(row);
+            let row = i * n_categories;
+            prefix.extend_from_within(row..row + n_categories);
+            prefix[row + n_categories + c] += 1;
         }
         Ok(Self {
             categories,
@@ -181,8 +168,11 @@ impl CategoryTimeline {
         let to = to.min(self.len());
         let from = from.min(to);
         let n = (to - from).max(1) as f64;
-        (0..self.n_categories)
-            .map(|c| (self.prefix[to][c] - self.prefix[from][c]) as f64 / n)
+        let k = self.n_categories;
+        let (hi, lo) = (&self.prefix[to * k..][..k], &self.prefix[from * k..][..k]);
+        hi.iter()
+            .zip(lo)
+            .map(|(&h, &l)| (h - l) as f64 / n)
             .collect()
     }
 
@@ -362,24 +352,56 @@ impl Forecaster {
         self.n_categories
     }
 
-    /// Forecast the next-interval category distribution from the most recent
-    /// categories (one entry per segment, oldest first). The input is padded
-    /// by repetition if shorter than `t_in`.
+    /// Forecast the next-interval category distribution from a recent
+    /// timeline; see [`forecast_categories`](Self::forecast_categories).
+    ///
+    /// # Panics
+    /// When the timeline holds a label outside this forecaster's
+    /// categories (a timeline of another model).
     pub fn forecast(&self, recent: &CategoryTimeline) -> Vec<f64> {
-        let seg = recent.seg_len;
-        let in_segs = ((self.spec.input_secs / seg).round() as usize).max(self.spec.input_splits);
+        self.forecast_categories(&recent.categories, recent.seg_len)
+            .expect("timeline labels fit the forecaster's categories")
+    }
+
+    /// Forecast the next-interval category distribution from the most recent
+    /// categories (one entry per segment, oldest first, each `seg_len`
+    /// seconds). A history shorter than `t_in` is used as far as it goes.
+    ///
+    /// The input features are counted straight from the borrowed slice:
+    /// O(`t_in / seg_len`) work and one feature vector, with no timeline
+    /// built. Rejects a non-positive or non-finite `seg_len` and an
+    /// out-of-range label with the same typed errors as
+    /// [`CategoryTimeline::new`].
+    pub fn forecast_categories(&self, cats: &[usize], seg_len: f64) -> Result<Vec<f64>, SkyError> {
+        Ok(normalize(self.net.forward(&self.features(cats, seg_len)?)))
+    }
+
+    /// The `input_splits × n_categories` input features of
+    /// [`forecast_categories`](Self::forecast_categories): one normalized
+    /// histogram per split window of the last `t_in` seconds.
+    fn features(&self, cats: &[usize], seg_len: f64) -> Result<Vec<f64>, SkyError> {
+        check_timeline_input(cats, seg_len, self.n_categories)?;
+        let k = self.n_categories;
+        let in_segs =
+            ((self.spec.input_secs / seg_len).round() as usize).max(self.spec.input_splits);
         let split = (in_segs / self.spec.input_splits).max(1);
-        let len = recent.len();
-        let mut input = Vec::with_capacity(self.spec.input_splits * self.n_categories);
-        for s in 0..self.spec.input_splits {
-            // Window positions counted back from the end; clamp into range.
+        let len = cats.len();
+        let mut input = vec![0.0; self.spec.input_splits * k];
+        for (s, row) in input.chunks_exact_mut(k).enumerate() {
+            // Window positions counted back from the end; clamp into range
+            // (an empty history leaves the all-zero window).
             let from_back = in_segs - s * split;
             let to_back = from_back.saturating_sub(split);
             let from = len.saturating_sub(from_back);
-            let to = len.saturating_sub(to_back).max(from + 1).min(len.max(1));
-            input.extend(recent.histogram(from.min(len), to.min(len)));
+            let to = len.saturating_sub(to_back).max(from + 1).min(len);
+            let from = from.min(to);
+            for &c in &cats[from..to] {
+                row[c] += 1.0;
+            }
+            let n = (to - from).max(1) as f64;
+            row.iter_mut().for_each(|x| *x /= n);
         }
-        normalize(self.net.forward(&input))
+        Ok(input)
     }
 
     /// Online fine-tuning (§3.3: "F can be fine-tuned in the online phase
@@ -424,6 +446,37 @@ impl Forecaster {
         let preds: Vec<Vec<f64>> = ds.inputs.iter().map(|x| self.net.forward(x)).collect();
         mean_absolute_error(&preds, &ds.targets)
     }
+}
+
+/// The input checks shared by [`CategoryTimeline::new`] and
+/// [`Forecaster::forecast_categories`], in that order: segment length,
+/// category count, labels.
+fn check_timeline_input(
+    categories: &[usize],
+    seg_len: f64,
+    n_categories: usize,
+) -> Result<(), SkyError> {
+    if !seg_len.is_finite() || seg_len <= 0.0 {
+        return Err(SkyError::InvalidInput {
+            what: "timeline segment length must be positive",
+        });
+    }
+    if n_categories == 0 {
+        return Err(SkyError::InvalidInput {
+            what: "timeline needs at least one category",
+        });
+    }
+    if categories
+        .iter()
+        .copied()
+        .max()
+        .is_some_and(|c| c >= n_categories)
+    {
+        return Err(SkyError::InvalidInput {
+            what: "timeline category label out of range",
+        });
+    }
+    Ok(())
 }
 
 fn normalize(mut v: Vec<f64>) -> Vec<f64> {
@@ -513,6 +566,95 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!((r.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(r.iter().all(|&v| v >= 0.0));
+    }
+
+    /// The featurization `forecast` used before it counted from a slice:
+    /// per-split `CategoryTimeline::histogram` windows. Kept as the oracle
+    /// for [`Forecaster::features`].
+    fn reference_features(f: &Forecaster, recent: &CategoryTimeline) -> Vec<f64> {
+        let seg = recent.seg_len;
+        let in_segs = ((f.spec.input_secs / seg).round() as usize).max(f.spec.input_splits);
+        let split = (in_segs / f.spec.input_splits).max(1);
+        let len = recent.len();
+        let mut input = Vec::with_capacity(f.spec.input_splits * f.n_categories);
+        for s in 0..f.spec.input_splits {
+            let from_back = in_segs - s * split;
+            let to_back = from_back.saturating_sub(split);
+            let from = len.saturating_sub(from_back);
+            let to = len.saturating_sub(to_back).max(from + 1).min(len.max(1));
+            input.extend(recent.histogram(from.min(len), to.min(len)));
+        }
+        input
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn slice_features_match_timeline_histograms_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let seg_len = 2.0;
+        // 30 input segments in 4 splits of 7 leave a 2-segment remainder
+        // no window covers; 32 in 4 splits of 8 tile exactly.
+        for (input_secs, n_c) in [(60.0, 3), (60.0, 5), (64.0, 3), (64.0, 5)] {
+            let spec = ForecastSpec {
+                input_secs,
+                input_splits: 4,
+                horizon_secs: 60.0,
+                sample_every_secs: 60.0,
+            };
+            let net = Mlp::forecaster(spec.input_splits * n_c, n_c, 7);
+            let f = Forecaster::from_parts(net, spec, n_c, 0.0).expect("matching shape");
+            let in_segs = (input_secs / seg_len) as usize;
+            let split = in_segs / spec.input_splits;
+            let lens = [
+                0,
+                1,
+                split - 1,
+                in_segs - 1,
+                in_segs,
+                in_segs + 7,
+                3 * in_segs,
+            ];
+            let mut rng = StdRng::seed_from_u64(n_c as u64);
+            for len in lens {
+                for _ in 0..8 {
+                    let cats: Vec<usize> = (0..len).map(|_| rng.gen_range(0..n_c)).collect();
+                    let tl = CategoryTimeline::new(cats.clone(), seg_len, n_c).expect("valid");
+                    let want = reference_features(&f, &tl);
+                    let got = f.features(&cats, seg_len).expect("valid slice");
+                    assert_eq!(bits(&got), bits(&want), "features, len {len}, |C| {n_c}");
+                    let forecast = f.forecast_categories(&cats, seg_len).expect("valid slice");
+                    let reference = normalize(f.net.forward(&want));
+                    assert_eq!(bits(&forecast), bits(&reference), "forecast, len {len}");
+                    assert_eq!(bits(&f.forecast(&tl)), bits(&reference));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slice_forecast_rejects_bad_input_typed() {
+        let spec = spec(60.0);
+        let f = Forecaster::from_parts(Mlp::forecaster(8, 2, 1), spec, 2, 0.0).unwrap();
+        let bad_label = f.forecast_categories(&[0, 1, 2], 60.0);
+        assert!(
+            matches!(
+                bad_label,
+                Err(SkyError::InvalidInput { what }) if what.contains("out of range")
+            ),
+            "{bad_label:?}"
+        );
+        for seg_len in [0.0, -1.0, f64::NAN] {
+            let r = f.forecast_categories(&[0, 1], seg_len);
+            assert!(
+                matches!(r, Err(SkyError::InvalidInput { what }) if what.contains("segment length")),
+                "seg_len {seg_len}: {r:?}"
+            );
+            assert!(CategoryTimeline::new(vec![0, 1], seg_len, 2).is_err());
+        }
     }
 
     #[test]

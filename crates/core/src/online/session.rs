@@ -1399,10 +1399,7 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
         let n_c = model.n_categories();
         let seg_len = model.seg_len;
         Ok(match self.options.forecast {
-            ForecastMode::Model => {
-                let tl = CategoryTimeline::new(history.to_vec(), seg_len, n_c)?;
-                model.forecaster.forecast(&tl)
-            }
+            ForecastMode::Model => model.forecaster.forecast_categories(history, seg_len)?,
             ForecastMode::GroundTruth => {
                 let span = self.segs_per_interval() as usize;
                 let window: &[usize] = match &self.state.gt_feed {
@@ -1445,8 +1442,7 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
         let budget = self.budget_per_seg();
 
         let r = if initial {
-            let history = self.state.history.clone();
-            self.forecast_r(&history, 0)?
+            self.forecast_r(&self.state.history, 0)?
         } else {
             let tail_len = self
                 .state
@@ -1462,21 +1458,15 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
                 // §3.3: fine-tune on the recently observed categories before
                 // forecasting from them.
                 let observed = CategoryTimeline::new(self.state.history.clone(), seg_len, n_c)?;
-                let recent = CategoryTimeline::new(
-                    self.state.history[recent_start..].to_vec(),
-                    seg_len,
-                    n_c,
-                )?;
                 let f = self
                     .state
                     .tuned_forecaster
                     .as_mut()
                     .expect("checked by matches! above");
                 let _ = f.fine_tune(&observed, 3, self.options.seed ^ i as u64);
-                f.forecast(&recent)
+                f.forecast_categories(&self.state.history[recent_start..], seg_len)?
             } else {
-                let recent = self.state.history[recent_start..].to_vec();
-                self.forecast_r(&recent, i)?
+                self.forecast_r(&self.state.history[recent_start..], i)?
             }
         };
 
