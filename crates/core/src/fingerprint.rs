@@ -24,6 +24,18 @@ impl Fnv {
         self
     }
 
+    /// Fold a whole 64-bit data word (the word-wise checksum's step). The
+    /// xor-shift before the multiply moves the word's high half into the
+    /// low half, which the multiply then carries into every higher bit:
+    /// with a bare xor-multiply a flipped top bit passes through the
+    /// multiply unchanged, so two such flips in different words cancel.
+    pub(crate) fn eat_word(&mut self, w: u64) -> &mut Self {
+        self.0 ^= w;
+        self.0 ^= self.0 >> 32;
+        self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        self
+    }
+
     pub(crate) fn eat_f64(&mut self, v: f64) -> &mut Self {
         self.eat(v.to_bits())
     }

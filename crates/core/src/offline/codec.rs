@@ -9,7 +9,11 @@
 //! * `f64` as the little-endian bytes of [`f64::to_bits`] — floats survive
 //!   a round-trip **bitwise**, including NaN payloads, which is what makes
 //!   `save → load → run` indistinguishable from `fit → run`,
-//! * strings and vectors as a `u64` length prefix followed by the elements.
+//! * strings and vectors as a `u64` length prefix followed by the elements,
+//! * category-label vectors (`Enc::cats`) byte-packed: the length, one
+//!   width byte (1, 2, 4 or 8 — the narrowest that holds the largest
+//!   label), then each label in that many little-endian bytes. Labels are
+//!   `< n_categories`, so a history costs one byte per segment, not eight.
 //!
 //! Every decoder validates lengths against the remaining buffer before
 //! allocating, so a truncated or hostile file degrades into a decode error
@@ -34,7 +38,9 @@ use crate::online::plan::KnobPlan;
 use crate::profile::{ConfigProfile, PlacementProfile};
 
 /// Codec format version; bump on any layout change.
-pub const FORMAT_VERSION: u16 = 1;
+/// Version 2 byte-packs the timeline categories and switched the file
+/// checksum to the word-wise fold.
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Decode failure with context; the knowledge base wraps it into
 /// `SkyError::CorruptKnowledgeBase`.
@@ -104,6 +110,29 @@ impl Enc {
         self.usize(vs.len());
         for &v in vs {
             self.usize(v);
+        }
+    }
+
+    /// A category-label vector, byte-packed (see the module docs); read
+    /// back with [`Dec::cats`].
+    pub(crate) fn cats(&mut self, vs: &[usize]) {
+        let max = vs.iter().copied().max().unwrap_or(0) as u64;
+        let width = match max {
+            0..=0xFF => 1,
+            0x100..=0xFFFF => 2,
+            0x1_0000..=0xFFFF_FFFF => 4,
+            _ => 8,
+        };
+        self.usize(vs.len());
+        self.u8(width);
+        if width == 1 {
+            self.buf.extend(vs.iter().map(|&v| v as u8));
+            return;
+        }
+        self.buf.reserve(vs.len() * width as usize);
+        for &v in vs {
+            self.buf
+                .extend_from_slice(&(v as u64).to_le_bytes()[..width as usize]);
         }
     }
 }
@@ -197,6 +226,33 @@ impl<'a> Dec<'a> {
         let n = self.len(8, what)?;
         (0..n).map(|_| self.usize(what)).collect()
     }
+
+    /// A category-label vector written by [`Enc::cats`]. The packed
+    /// payload (`n × width` bytes) is bounds-checked against the remaining
+    /// buffer before anything is allocated.
+    pub(crate) fn cats(&mut self, what: &str) -> DecodeResult<Vec<usize>> {
+        let n = self.usize(what)?;
+        let width = self.u8(what)? as usize;
+        if !matches!(width, 1 | 2 | 4 | 8) {
+            return Err(format!("{what}: invalid packed width {width}"));
+        }
+        let bytes = n
+            .checked_mul(width)
+            .ok_or_else(|| format!("{what}: length {n} x width {width} overflows"))?;
+        let packed = self.take(bytes, what)?;
+        if width == 1 {
+            return Ok(packed.iter().map(|&b| b as usize).collect());
+        }
+        packed
+            .chunks_exact(width)
+            .map(|c| {
+                let mut word = [0u8; 8];
+                word[..width].copy_from_slice(c);
+                let v = u64::from_le_bytes(word);
+                usize::try_from(v).map_err(|_| format!("{what}: label {v} exceeds usize"))
+            })
+            .collect()
+    }
 }
 
 /// Encode an `Option`: presence flag, then the value.
@@ -216,13 +272,21 @@ pub(crate) fn dec_opt<T>(
     Ok(if d.bool(what)? { Some(f(d)?) } else { None })
 }
 
-/// FNV-1a over a byte slice — the file checksum (the crate's shared `Fnv`
-/// primitive folded per byte).
+/// Word-wise FNV-1a over a byte slice — the one checksum behind journal
+/// records, checkpoints, knowledge-base files and net frames. Folds 8-byte
+/// little-endian words into the crate's shared `Fnv` (one multiply per
+/// word, see `Fnv::eat_word`), then the tail bytes, then the length, and
+/// finishes with the SplitMix avalanche.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h = Fnv::new();
-    for &b in bytes {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h.eat_word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    for &b in words.remainder() {
         h.eat(b as u64);
     }
+    h.eat(bytes.len() as u64);
     h.finish()
 }
 
@@ -351,13 +415,13 @@ fn dec_categories(d: &mut Dec) -> DecodeResult<ContentCategories> {
 }
 
 fn enc_timeline(e: &mut Enc, t: &CategoryTimeline) {
-    e.usizes(&t.categories);
+    e.cats(&t.categories);
     e.f64(t.seg_len);
     e.usize(t.n_categories);
 }
 
 fn dec_timeline(d: &mut Dec) -> DecodeResult<CategoryTimeline> {
-    let categories = d.usizes("timeline categories")?;
+    let categories = d.cats("timeline categories")?;
     let seg_len = d.f64("timeline seg_len")?;
     let n_categories = d.usize("timeline n_categories")?;
     CategoryTimeline::new(categories, seg_len, n_categories)
@@ -919,6 +983,110 @@ mod tests {
             a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn packed_categories_roundtrip_at_every_width_boundary() {
+        let mut cases: Vec<(Vec<usize>, u8)> = vec![
+            (vec![], 1),
+            (vec![0; 5], 1),
+            (vec![0, 255, 7], 1),
+            (vec![256, 0, 1], 2),
+            (vec![65_535, 3], 2),
+            (vec![65_536, 0], 4),
+        ];
+        #[cfg(target_pointer_width = "64")]
+        cases.extend([
+            (vec![u32::MAX as usize, 1], 4),
+            (vec![1 << 32, 2], 8),
+            (vec![usize::MAX, 0], 8),
+        ]);
+        for (vs, width) in cases {
+            let mut e = Enc::new();
+            e.cats(&vs);
+            e.u8(0xEE); // sentinel: the decoder must stop exactly at the end
+            let bytes = e.into_bytes();
+            assert_eq!(bytes[8], width, "width byte for {vs:?}");
+            assert_eq!(bytes.len(), 8 + 1 + vs.len() * width as usize + 1);
+            let mut d = Dec::new(&bytes);
+            assert_eq!(d.cats("cats").unwrap(), vs);
+            assert_eq!(d.u8("sentinel").unwrap(), 0xEE);
+            assert!(d.finished());
+        }
+    }
+
+    #[test]
+    fn malformed_packed_categories_are_errors_not_panics() {
+        let header = |n: u64, width: u8| {
+            let mut e = Enc::new();
+            e.u64(n);
+            e.u8(width);
+            e.into_bytes()
+        };
+        // A width outside {1, 2, 4, 8}.
+        for width in [0u8, 3, 5, 7, 9, 16, 255] {
+            let mut bytes = header(2, width);
+            bytes.extend_from_slice(&[0; 32]);
+            let err = Dec::new(&bytes).cats("cats").unwrap_err();
+            assert!(err.contains("width"), "{err}");
+        }
+        // Every truncation of a valid payload, header included.
+        let mut e = Enc::new();
+        e.cats(&[1, 300, 2, 65_535]);
+        let bytes = e.into_bytes();
+        for cut in 0..bytes.len() {
+            assert!(Dec::new(&bytes[..cut]).cats("cats").is_err(), "cut {cut}");
+        }
+        // Lengths whose byte count overflows usize (two of them wrap to
+        // exactly 0), and one that merely exceeds the buffer: rejected
+        // before anything is allocated.
+        for (n, width) in [(u64::MAX, 8), (1 << 61, 8), (1 << 62, 4), (1 << 40, 1)] {
+            let bytes = header(n, width);
+            assert!(
+                Dec::new(&bytes).cats("cats").is_err(),
+                "n {n} width {width}"
+            );
+        }
+    }
+
+    #[test]
+    fn checksum_changes_on_every_single_edit_across_word_boundaries() {
+        for len in 0..=40usize {
+            let data: Vec<u8> = (0..len)
+                .map(|i| (i as u8).wrapping_mul(37) ^ 0x5A)
+                .collect();
+            let base = checksum(&data);
+            for i in 0..len {
+                for bit in 0..8 {
+                    let mut flipped = data.clone();
+                    flipped[i] ^= 1 << bit;
+                    assert_ne!(base, checksum(&flipped), "len {len} byte {i} bit {bit}");
+                }
+            }
+            let mut longer = data.clone();
+            longer.push(0);
+            assert_ne!(base, checksum(&longer), "len {len}: appended zero");
+            if len > 0 {
+                assert_ne!(base, checksum(&data[..len - 1]), "len {len}: dropped byte");
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_top_bit_flips_in_two_words_do_not_cancel() {
+        // A bare xor-multiply word fold passes a top-bit difference through
+        // the multiply unchanged, so flipping bit 63 of any two words would
+        // cancel; the fold's xor-shift must break that.
+        let data = vec![0x3Cu8; 64];
+        let base = checksum(&data);
+        for a in 0..8 {
+            for b in a + 1..8 {
+                let mut flipped = data.clone();
+                flipped[8 * a + 7] ^= 0x80;
+                flipped[8 * b + 7] ^= 0x80;
+                assert_ne!(base, checksum(&flipped), "words {a} and {b}");
+            }
+        }
     }
 
     #[test]

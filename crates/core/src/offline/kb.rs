@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! magic "SKYKB" (5 bytes) · kind (u8) · version (u16 LE)
-//! payload length (u64 LE) · FNV-1a checksum of payload (u64 LE) · payload
+//! payload length (u64 LE) · word-wise FNV-1a checksum of payload (u64 LE) · payload
 //! ```
 //!
 //! and decoded defensively: wrong magic/kind/checksum or a malformed payload

@@ -113,9 +113,13 @@ pub type StreamResolver<'a, 'f> =
 /// journal records reach the OS per event but are fsynced only at
 /// checkpoint points, so a power loss may drop a post-checkpoint journal
 /// suffix — recovery treats that like a torn tail and the driver re-feeds
-/// it. Note that a snapshot serializes each session's full carried history
-/// (category history, trace), so per-snapshot cost grows with stream age;
-/// long-lived deployments should raise the cadence accordingly.
+/// it. Each snapshot is fsynced, renamed into place and the directory
+/// fsynced before the journal it covers is truncated. A snapshot
+/// serializes each session's full carried history: category histories are
+/// byte-packed (one byte per segment at up to 256 categories) and the
+/// backlog and trace travel whole, so per-snapshot cost still grows with
+/// stream age; long-lived deployments should raise the cadence
+/// accordingly.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Directory for `runtime.wal` + `runtime.ckpt` (created if missing).

@@ -9,9 +9,9 @@
 //!   (`Seg`), in-band closures (`Close`), the partial-epoch deliveries a
 //!   mid-run admission forces (`Flush`), and epoch-barrier settlements
 //!   (`Barrier`, an integrity cross-check for replay). Each record is framed
-//!   `u32 len · u64 FNV-1a checksum · body` with a monotone sequence number
-//!   in the body, reusing the knowledge-base codec primitives (little-endian
-//!   integers, floats as raw bits).
+//!   `u32 len · u64 word-wise FNV-1a checksum · body` with a monotone
+//!   sequence number in the body, reusing the knowledge-base codec
+//!   primitives (little-endian integers, floats as raw bits).
 //! * **`runtime.ckpt`** — a periodic snapshot of the *entire* runtime state:
 //!   per-stream [`SessionCheckpoint`]s (RNG words included), mailbox
 //!   contents, epoch bookkeeping, the joint-plan record, and the settled
@@ -49,7 +49,10 @@ use crate::online::session::{
 
 const WAL_MAGIC: &[u8; 6] = b"SKYWAL";
 const CKPT_MAGIC: &[u8; 6] = b"SKYCKP";
-const VERSION: u16 = 3;
+/// Journal and checkpoint layout version. Version 4 byte-packs the
+/// sessions' category histories and switched the frame checksum to the
+/// word-wise fold.
+const VERSION: u16 = 4;
 
 /// Bytes of the journal's file header (magic + version). Public to the
 /// crate so the chaos helpers can avoid tearing into the header.
@@ -718,7 +721,13 @@ pub(crate) fn write_snapshot(dir: &Path, snapshot: &RuntimeSnapshot) -> Result<(
         // stable before the rename makes them the checkpoint.
         f.sync_all().map_err(|e| io_err(&tmp, e))?;
     }
-    fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))
+    fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+    // The rename itself lives in the directory: make it durable before the
+    // caller truncates the journal this snapshot covers, or a power loss
+    // could leave the old checkpoint beside an emptied journal.
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err(dir, e))
 }
 
 /// Load the checkpoint in `dir`, if any. The rename-based write protocol
@@ -1002,6 +1011,29 @@ mod tests {
                 Err(SkyError::CorruptWal { .. }) => {}
                 Err(e) => panic!("unexpected error class: {e}"),
             }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_version_skew_is_typed_corruption() {
+        // A checkpoint stamped by the previous layout version, otherwise
+        // well framed (right length, valid checksum), is refused typed.
+        let dir = tmpdir("ckpt-skew");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let payload = b"an older checkpoint layout".to_vec();
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(CKPT_MAGIC);
+        bytes.extend_from_slice(&(VERSION - 1).to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&codec::checksum(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        fs::write(ckpt_file(&dir), &bytes).expect("write");
+        match read_snapshot(&dir) {
+            Err(SkyError::CorruptWal { detail }) => {
+                assert!(detail.contains("version"), "{detail}")
+            }
+            other => panic!("expected typed CorruptWal, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -5,11 +5,11 @@
 //! framing discipline proven by the knowledge-base codec
 //! ([`crate::offline::codec`]) and the runtime journal
 //! (`runtime/wal.rs`): little-endian integers, floats as raw bits, every
-//! frame `u32 len · u64 FNV-1a checksum · body`, and a magic + version
-//! preamble exchanged once per direction when a connection opens. Segment
-//! bodies are encoded by the *same* functions the write-ahead log uses, so
-//! a segment that survives the wire is bit-for-bit the segment the journal
-//! would have recorded.
+//! frame `u32 len · u64 word-wise FNV-1a checksum · body`, and a magic +
+//! version preamble exchanged once per direction when a connection opens.
+//! Segment bodies are encoded by the *same* functions the write-ahead log
+//! uses, so a segment that survives the wire is bit-for-bit the segment the
+//! journal would have recorded.
 //!
 //! Frame transport (preamble exchange, length/checksum validation, torn
 //! reads) lives in the `vetl-net` crate; this module only defines the
@@ -51,8 +51,8 @@ pub const NET_MAGIC: &[u8; 6] = b"SKYNET";
 /// Version 2 added the dedup counters to the `Stats` reply. Version 3
 /// added the `GetMetrics` request and its `Metrics` registry-snapshot
 /// reply. Version 4 added `reorder_window` to the ingest options carried
-/// by `Open`.
-pub const NET_VERSION: u16 = 4;
+/// by `Open`. Version 5 switched the frame checksum to the word-wise fold.
+pub const NET_VERSION: u16 = 5;
 /// Bytes of the connection preamble (magic + little-endian version).
 pub const PREAMBLE_LEN: usize = 8;
 

@@ -4,7 +4,7 @@
 //! discipline of the knowledge-base codec and the runtime journal:
 //!
 //! ```text
-//! u32 len (LE) · u64 FNV-1a checksum of body (LE) · body
+//! u32 len (LE) · u64 word-wise FNV-1a checksum of body (LE) · body
 //! ```
 //!
 //! preceded — once per direction, per connection — by the 8-byte preamble
