@@ -93,8 +93,9 @@ fn serve(
 /// Serve `range` rounds through `push_batch`, one epoch-sized batch per
 /// stream per pass. Round-robin driving keeps every mailbox at the same
 /// depth, so one stream's remaining room is everyone's. The journal then
-/// carries fused `SegBatch` records, which recovery replays back through
-/// `push_batch` — the batched replay the `recover (replay)` leg measures.
+/// carries one `Segs` run record per batch, which recovery replays back
+/// through the same write path — the replay the `recover (replay)` leg
+/// measures.
 fn serve_batched(
     rt: &mut IngestRuntime<'_>,
     ids: &[StreamId],
@@ -178,9 +179,9 @@ fn main() {
     {
         let mut rt = IngestRuntime::new(config(&fitted, Some(&dir_replay), 0));
         let ids = open_all(&mut rt, &fitted);
-        // Batched serve: the journal carries one fused SegBatch record per
-        // epoch-sized run, so replay re-drives the ingest path through
-        // push_batch instead of one record per segment.
+        // Batched serve: the journal carries one `Segs` record per
+        // epoch-sized run, so replay re-drives the write path once per run
+        // instead of once per segment.
         let _ = serve_batched(&mut rt, &ids, segs, 0..crash_round);
         // Crash: dropped without finish().
     }

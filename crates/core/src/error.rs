@@ -117,10 +117,10 @@ pub enum SkyError {
         source: Box<SkyError>,
     },
     /// A batched push failed partway through: the first `accepted` segments
-    /// were accepted (journaled and enqueued, exactly as a per-segment push
-    /// loop would have) before `source` stopped the batch. The caller resumes
-    /// from `accepted` after resolving the cause — no accepted segment may be
-    /// re-fed.
+    /// were accepted (journaled, exactly as a per-segment push loop would
+    /// have; recovery restores the same count) before `source` stopped the
+    /// batch. The caller resumes from `accepted` after resolving the cause —
+    /// no accepted segment may be re-fed.
     BatchFailed {
         /// Segments of the batch accepted before the failure.
         accepted: usize,

@@ -430,11 +430,6 @@ pub struct MultiStreamServer<'a> {
     /// between barriers; each barrier merges the sessions' pending entries
     /// in stable slot order (see [`crate::dedupe`]).
     dedup: Option<DedupCache>,
-    /// Flash-crowd admission damping ([`Self::with_admission_cap`]).
-    admission_epoch_cap: Option<usize>,
-    /// Streams admitted since a segment last made progress; checked before
-    /// an admission mutates anything, reset by every successful push.
-    opens_since_push: usize,
 }
 
 impl<'a> MultiStreamServer<'a> {
@@ -451,8 +446,6 @@ impl<'a> MultiStreamServer<'a> {
             last_joint_plan: None,
             joint_basis: LpBasis::new(),
             dedup: None,
-            admission_epoch_cap: None,
-            opens_since_push: 0,
         }
     }
 
@@ -482,18 +475,6 @@ impl<'a> MultiStreamServer<'a> {
     /// The shared dedup cache, when enabled.
     pub fn dedup_cache(&self) -> Option<&DedupCache> {
         self.dedup.as_ref()
-    }
-
-    /// Flash-crowd admission damping: at most `cap` streams may be admitted
-    /// without a segment making progress in between. Beyond the cap,
-    /// [`open_stream`](Self::open_stream) returns retryable
-    /// [`SkyError::AdmissionDeferred`] before mutating anything — a
-    /// synchronized fleet reconnect becomes a paced admission queue instead
-    /// of an unbounded replanning storm. Disabled by default (bitwise
-    /// unchanged behavior).
-    pub fn with_admission_cap(mut self, cap: usize) -> Self {
-        self.admission_epoch_cap = Some(cap);
-        self
     }
 
     /// Streams currently active (admitted and not closed).
@@ -544,16 +525,6 @@ impl<'a> MultiStreamServer<'a> {
         workload: &'a (dyn Workload + 'a),
         options: IngestOptions,
     ) -> Result<StreamId, SkyError> {
-        // Flash-crowd damping fires before anything is validated or
-        // mutated, so a deferred admission is traceless and retryable.
-        if let Some(cap) = self.admission_epoch_cap {
-            if self.opens_since_push >= cap {
-                return Err(SkyError::AdmissionDeferred {
-                    pending: self.opens_since_push,
-                    cap,
-                });
-            }
-        }
         let total = self
             .total_cores
             .unwrap_or_else(|| model.hardware.cluster.throughput());
@@ -586,7 +557,6 @@ impl<'a> MultiStreamServer<'a> {
             self.total_cores = prev_total;
             return Err(e);
         }
-        self.opens_since_push += 1;
         Ok(StreamId(slot))
     }
 
@@ -622,8 +592,6 @@ impl<'a> MultiStreamServer<'a> {
         };
         let report = a.session.push_with_cache(seg, cache)?;
         a.used += 1;
-        // Segment progress reopens the flash-crowd admission window.
-        self.opens_since_push = 0;
         Ok(report)
     }
 

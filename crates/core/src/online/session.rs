@@ -1498,7 +1498,7 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
     /// cache serves entries across all their streams. When `shared` is
     /// `None` a standalone session falls back to its private cache (if
     /// [`IngestOptions::dedup`] is set).
-    pub fn push_with_cache(
+    pub(crate) fn push_with_cache(
         &mut self,
         seg: &Segment,
         shared: Option<&DedupCache>,
@@ -1813,30 +1813,6 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
         })
     }
 
-    /// Ingest a run of segments — exactly a [`push`](Self::push) loop, one
-    /// report per segment, with the output buffer reserved once up front.
-    /// The session pipeline is inherently sequential (every push reads the
-    /// previous segment's state), so unlike the runtime's batched mailbox
-    /// path there is nothing to fuse here; the method exists so batch
-    /// drivers get the same call shape at both tiers. On a mid-batch error
-    /// the session keeps the state of every segment already ingested and
-    /// the error is wrapped in [`SkyError::BatchFailed`] with that count.
-    pub fn push_batch(&mut self, segs: &[Segment]) -> Result<Vec<StepReport>, SkyError> {
-        let mut reports = Vec::with_capacity(segs.len());
-        for seg in segs {
-            match self.push(seg) {
-                Ok(report) => reports.push(report),
-                Err(e) => {
-                    return Err(SkyError::BatchFailed {
-                        accepted: reports.len(),
-                        source: Box::new(e),
-                    })
-                }
-            }
-        }
-        Ok(reports)
-    }
-
     /// Ingest one *arrival* — a segment as the network delivered it, not
     /// necessarily in index order. With [`IngestOptions::reorder_window`]
     /// set, the arrival passes through the reorder gate: in-order arrivals
@@ -1855,7 +1831,7 @@ impl<'a, W: Workload + ?Sized> IngestSession<'a, W> {
     ///
     /// A mid-release processing error is wrapped in
     /// [`SkyError::BatchFailed`] with the count of segments already
-    /// processed, like [`push_batch`](Self::push_batch).
+    /// processed.
     pub fn push_arrival(&mut self, seg: &Segment) -> Result<Vec<StepReport>, SkyError> {
         if self.state.gate.is_none() {
             return Ok(vec![self.push(seg)?]);

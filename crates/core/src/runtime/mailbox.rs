@@ -75,20 +75,10 @@ impl Mailbox {
         matches!(self.q.front(), Some(Envelope::Close))
     }
 
-    /// Enqueue a segment; `false` when the mailbox is at capacity.
-    pub(crate) fn try_push(&mut self, seg: &Segment) -> bool {
-        if self.segments >= self.capacity {
-            return false;
-        }
-        self.q.push_back(Envelope::Segment(*seg));
-        self.segments += 1;
-        true
-    }
-
     /// Enqueue a run of segments at once. The caller has already checked
-    /// room (exactly like [`try_push`](Self::try_push)'s capacity test);
-    /// one reserve covers the whole run, so a batched producer touches the
-    /// queue's allocator once per epoch instead of once per segment.
+    /// room against [`capacity`](Self::capacity); one reserve covers the
+    /// whole run, so a producer touches the queue's allocator once per
+    /// chunk instead of once per segment.
     pub(crate) fn push_segments(&mut self, segs: &[Segment]) {
         debug_assert!(
             self.segments + segs.len() <= self.capacity,
@@ -174,16 +164,25 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_segments_but_not_close() {
+    fn capacity_counts_segments_but_not_close() {
         let s = seg();
         let mut m = Mailbox::new(2);
-        assert!(m.try_push(&s));
-        assert!(m.try_push(&s));
-        assert!(!m.try_push(&s), "third segment must be rejected");
-        assert_eq!(m.segments_queued(), 2);
+        m.push_segments(&[s, s]);
+        assert_eq!(m.segments_queued(), m.capacity(), "mailbox is full");
         m.push_close();
         assert!(m.close_queued());
-        assert_eq!(m.segments_queued(), 2);
+        assert_eq!(m.segments_queued(), 2, "the close marker is not a segment");
+    }
+
+    #[test]
+    fn force_push_overshoots_capacity_without_dropping() {
+        let s = seg();
+        let mut m = Mailbox::new(1);
+        m.push_segments(&[s]);
+        m.force_push(&s);
+        m.force_push(&s);
+        assert_eq!(m.segments_queued(), 3);
+        assert_eq!(m.drain().len(), 3);
     }
 
     #[test]
@@ -191,7 +190,7 @@ mod tests {
         let s = seg();
         let mut m = Mailbox::new(4);
         assert!(!m.close_is_first());
-        m.try_push(&s);
+        m.push_segments(&[s]);
         m.push_close();
         assert!(!m.close_is_first());
         let batch = m.drain();
@@ -209,13 +208,14 @@ mod tests {
     }
 
     #[test]
-    fn push_segments_counts_like_a_push_loop() {
+    fn push_segments_counts_every_segment_of_the_run() {
         let s = seg();
         let mut m = Mailbox::new(4);
         m.push_segments(&[s, s, s]);
         assert_eq!(m.segments_queued(), 3);
-        assert!(m.try_push(&s));
-        assert!(!m.try_push(&s), "batched segments count against capacity");
+        m.push_segments(&[s]);
+        assert_eq!(m.segments_queued(), m.capacity());
+        assert_eq!(m.iter().count(), 4);
     }
 
     #[test]

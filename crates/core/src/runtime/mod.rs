@@ -347,6 +347,21 @@ impl RtStream<'_> {
         }
     }
 
+    /// Release everything the reorder gate holds into the mailbox, past
+    /// capacity if need be (held segments are journaled input and are
+    /// never dropped; remaining gaps count as `ReorderStats::lost`).
+    /// Returns how many segments it enqueued; none without a gate.
+    fn drain_gate(&mut self) -> usize {
+        let released = self
+            .session
+            .as_mut()
+            .map_or_else(Vec::new, |s| s.gate_drain());
+        for r in &released {
+            self.mailbox.force_push(r);
+        }
+        released.len()
+    }
+
     /// Settle the session into the stream's outcome (idempotent).
     fn settle(&mut self) {
         if let Some(session) = self.session.take() {
@@ -422,11 +437,12 @@ pub struct IngestRuntime<'a> {
     replaying: bool,
     /// A journal append failed *after* its event had already mutated state
     /// (the one ordering the record-then-apply discipline cannot cover:
-    /// admission/barrier records are only knowable post-commit). Memory has
-    /// diverged from the journal; the runtime fails every further operation
-    /// so the divergence cannot compound, and the caller rebuilds from disk
-    /// via [`IngestRuntime::recover`] — which restores exactly the
-    /// journaled (acknowledged) prefix.
+    /// admission/barrier records are only knowable post-commit), or a
+    /// snapshot failed after its event was journaled and applied. Memory
+    /// and disk may have diverged; the runtime fails every further
+    /// operation so the divergence cannot compound, and the caller rebuilds
+    /// from disk via [`IngestRuntime::recover`] — which restores exactly
+    /// the journaled (acknowledged) prefix.
     poisoned: Option<String>,
     chaos: Option<Arc<FailurePlan>>,
     /// Cross-stream dedup cache shared by every session. Read-only while
@@ -523,12 +539,16 @@ impl<'a> IngestRuntime<'a> {
         self.obs.as_ref()
     }
 
-    /// Record a poisoning in the flight recorder and dump the ring —
+    /// Fail-stop after `e` hit an event that was already journaled and
+    /// applied: every further operation returns typed
+    /// [`SkyError::CorruptWal`] (see the [`poisoned`](Self#structfield.poisoned)
+    /// field). The flight recorder logs the poisoning and dumps its ring —
     /// the post-mortem a poisoned runtime leaves behind.
-    fn obs_poison(&self, detail: &str) {
+    fn poison(&mut self, e: &SkyError) {
+        self.poisoned = Some(e.to_string());
         if let Some(o) = &self.obs {
             o.flight.record(TraceEvent::Poisoned {
-                detail: detail.to_string(),
+                detail: e.to_string(),
             });
             o.flight.dump("poisoned");
         }
@@ -684,259 +704,171 @@ impl<'a> IngestRuntime<'a> {
     /// full epoch and lagging streams prevent the dispatch — feed or close
     /// them, then retry.
     pub fn push(&mut self, stream: StreamId, seg: &Segment) -> Result<(), SkyError> {
-        self.check_poisoned()?;
-        // Validate without mutating, journal, then apply: an event is only
-        // applied once it is durable, and a rejected push (typed
-        // backpressure or invalid input) leaves neither state nor journal
-        // behind. The finiteness check (shared with the sequential server)
-        // also keeps the journal replayable: a segment that could only
-        // fail *during* dispatch must be rejected before it is journaled.
-        crate::multistream::validate_segment(seg)?;
-        let mut gated = false;
-        match self.slots.get(stream.index()) {
-            None => return Err(SkyError::UnknownStream { id: stream.index() }),
-            Some(RtSlot::Closed(_)) => return Err(SkyError::StreamClosed { id: stream.index() }),
-            Some(RtSlot::Active(a)) => {
-                if a.mailbox.close_queued() {
-                    return Err(SkyError::StreamClosed { id: stream.index() });
-                }
-                if a.mailbox.segments_queued() >= a.mailbox.capacity() {
-                    if let Some(o) = &self.obs {
-                        o.registry.inc(CounterId::BackpressureRejections);
-                        o.flight.record(TraceEvent::Backpressure {
-                            slot: stream.index(),
-                            queued: a.mailbox.segments_queued(),
-                            capacity: a.mailbox.capacity(),
-                        });
-                    }
-                    return Err(SkyError::Overloaded {
-                        stream: stream.index(),
-                        queued: a.mailbox.segments_queued(),
-                        capacity: a.mailbox.capacity(),
-                    });
-                }
-                // Lateness check is pure and runs before journaling, so a
-                // rejected late arrival leaves neither state nor journal
-                // behind — exactly like the backpressure rejection above.
-                if let Some(sess) = a.session.as_ref() {
-                    gated = sess.gate_active();
-                    if gated {
-                        if let Err(e) = sess.gate_check(seg) {
-                            if let Some(o) = &self.obs {
-                                o.registry.inc(CounterId::LateSegmentRejections);
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-        }
-        self.wal_append(&WalRecord::Seg {
-            slot: stream.index(),
-            seg: *seg,
-        })?;
-        let Some(RtSlot::Active(a)) = self.slots.get_mut(stream.index()) else {
-            unreachable!("checked active above");
-        };
-        if gated {
-            // Route the accepted arrival through the reorder gate. A hold
-            // enqueues nothing; a gap-fill releases a burst of up to
-            // `window + 1` segments at once. Releases enqueue one at a
-            // time, dispatching whenever the mailbox reaches the epoch
-            // quota — exactly where the in-order push sequence would — so a
-            // within-window degraded run shares its epoch boundaries (and
-            // hence its outcome, bit for bit) with the in-order run. When
-            // lagging sibling streams block that dispatch, the release
-            // falls back to overshooting the quota (bounded by the window):
-            // released segments are journaled input that must never be
-            // dropped, and the dispatch loop tolerates `used > quota`.
-            let session = a.session.as_mut().expect("checked active above");
-            let released = session.gate_admit(*seg);
-            if let Some(o) = &self.obs {
-                if released.is_empty() {
-                    o.registry.inc(CounterId::ReorderHolds);
-                } else {
-                    o.registry
-                        .add(CounterId::MailboxEnqueues, released.len() as u64);
-                }
-            }
-            for r in &released {
-                let full = matches!(
-                    self.slots.get(stream.index()),
-                    Some(RtSlot::Active(a))
-                        if a.mailbox.segments_queued() >= a.mailbox.capacity()
-                );
-                if full {
-                    let before = self.epoch;
-                    self.try_dispatch()?;
-                    if self.epoch != before {
-                        self.wal_append_barrier()?;
-                    }
-                }
-                let Some(RtSlot::Active(a)) = self.slots.get_mut(stream.index()) else {
-                    unreachable!("checked active above");
-                };
-                a.mailbox.force_push(r);
-            }
-        } else {
-            let accepted = a.mailbox.try_push(seg);
-            debug_assert!(accepted, "capacity pre-checked above");
-            if let Some(o) = &self.obs {
-                // Counter-only on the enqueue path: one relaxed atomic add,
-                // no `Instant` — per-push timing would dominate the push
-                // itself.
-                o.registry.inc(CounterId::MailboxEnqueues);
-            }
-        }
-        let before = self.epoch;
-        self.try_dispatch()?;
-        if self.epoch != before {
-            self.wal_append_barrier()?;
-        }
-        // The event is journaled and applied at this point: a snapshot
-        // failure must not read as a rejected event (a retry would feed the
-        // same input twice), so it poisons fail-stop instead.
-        let r = self.maybe_snapshot();
-        if let Err(e) = &r {
-            self.poisoned = Some(e.to_string());
-            self.obs_poison(&e.to_string());
-        }
-        r
+        self.ingest(stream, std::slice::from_ref(seg))
+            .map_err(|(_, e)| e)
     }
 
     /// Enqueue a run of segments into a stream's ingress mailbox —
     /// **semantically identical** to calling [`push`](Self::push) once per
-    /// segment, in order (property-tested in `tests/runtime.rs`), but on the
-    /// hot path the run is journaled as one fused
-    /// `WalRecord::SegBatch` frame per accepted chunk and enqueued
-    /// with a single mailbox reservation instead of one of each per segment.
+    /// segment, in order (property-tested in `tests/runtime.rs`): both are
+    /// the same write path, which journals and enqueues a gate-less run in
+    /// chunks bounded by the mailbox's remaining epoch-quota room (see
+    /// [`mailbox_room`](Self::mailbox_room)) instead of one segment at a
+    /// time.
     ///
-    /// The batch is applied in chunks bounded by the mailbox's remaining
-    /// epoch-quota room (see [`mailbox_room`](Self::mailbox_room)); a chunk
-    /// that fills the mailbox dispatches the epoch exactly where the
-    /// per-segment loop would, then the next chunk continues into the freed
-    /// mailbox. On any failure the error is wrapped in
-    /// [`SkyError::BatchFailed`] carrying how many leading segments were
-    /// accepted (journaled + enqueued, never to be re-fed); the wrapped
-    /// source is the error the per-segment loop's next `push` would have
-    /// returned — e.g. [`SkyError::Overloaded`] when lagging sibling streams
-    /// block the dispatch mid-batch.
+    /// On any failure the error is wrapped in [`SkyError::BatchFailed`]
+    /// carrying how many leading segments were accepted (journaled, so
+    /// never to be re-fed — [`IngestRuntime::recover`] reports the same
+    /// count); the wrapped source is the error the per-segment loop's next
+    /// `push` would have returned — e.g. [`SkyError::Overloaded`] when
+    /// lagging sibling streams block the dispatch mid-batch.
     pub fn push_batch(&mut self, stream: StreamId, segs: &[Segment]) -> Result<(), SkyError> {
-        let batch_err = |accepted: usize, e: SkyError| SkyError::BatchFailed {
-            accepted,
-            source: Box::new(e),
-        };
-        // A reorder-gated stream takes the per-segment path: each arrival
-        // may hold or release a variable run of segments, so the fused
-        // room pre-check below (which assumes one enqueue per input) does
-        // not apply. Gate-less streams are unaffected.
-        if let Some(RtSlot::Active(a)) = self.slots.get(stream.index()) {
-            if a.session.as_ref().is_some_and(IngestSession::gate_active) {
-                for (i, seg) in segs.iter().enumerate() {
-                    self.push(stream, seg).map_err(|e| batch_err(i, e))?;
-                }
-                return Ok(());
-            }
-        }
-        let mut accepted = 0usize;
+        self.ingest(stream, segs)
+            .map_err(|(accepted, e)| SkyError::BatchFailed {
+                accepted,
+                source: Box::new(e),
+            })
+    }
+
+    /// The one write path every accepted segment takes, live and on replay.
+    /// Each pass of the loop admits one chunk: checks that leave neither
+    /// state nor journal behind on rejection ([`admit_chunk`](Self::admit_chunk)),
+    /// then one `Segs` journal record, the enqueue, the epoch dispatch, and
+    /// the snapshot cadence. A chunk is accepted once it is journaled —
+    /// replay re-applies it — so on failure the error carries the count of
+    /// journaled segments, which is what recovery reports as accepted.
+    fn ingest(&mut self, stream: StreamId, segs: &[Segment]) -> Result<(), (usize, SkyError)> {
+        let slot = stream.index();
+        let mut accepted = 0;
         while accepted < segs.len() {
-            self.check_poisoned().map_err(|e| batch_err(accepted, e))?;
-            let rest = &segs[accepted..];
-            // The per-segment push validates the segment *before* the slot
-            // checks; mirror that order on the chunk's first segment so the
-            // error class matches the loop's.
-            if let Err(e) = crate::multistream::validate_segment(&rest[0]) {
-                return Err(batch_err(accepted, e));
-            }
-            let room = match self.slots.get(stream.index()) {
-                None => {
-                    return Err(batch_err(
-                        accepted,
-                        SkyError::UnknownStream { id: stream.index() },
-                    ))
-                }
-                Some(RtSlot::Closed(_)) => {
-                    return Err(batch_err(
-                        accepted,
-                        SkyError::StreamClosed { id: stream.index() },
-                    ))
-                }
-                Some(RtSlot::Active(a)) => {
-                    if a.mailbox.close_queued() {
-                        return Err(batch_err(
-                            accepted,
-                            SkyError::StreamClosed { id: stream.index() },
-                        ));
-                    }
-                    let (queued, cap) = (a.mailbox.segments_queued(), a.mailbox.capacity());
-                    if queued >= cap {
-                        if let Some(o) = &self.obs {
-                            o.registry.inc(CounterId::BackpressureRejections);
-                            o.flight.record(TraceEvent::Backpressure {
-                                slot: stream.index(),
-                                queued,
-                                capacity: cap,
-                            });
-                        }
-                        return Err(batch_err(
-                            accepted,
-                            SkyError::Overloaded {
-                                stream: stream.index(),
-                                queued,
-                                capacity: cap,
-                            },
-                        ));
-                    }
-                    cap - queued
-                }
-            };
-            // The chunk ends at the mailbox's remaining room — below it,
-            // the per-segment loop's intermediate `try_dispatch` calls are
-            // provably no-ops (this stream is not at capacity), so fusing
-            // them into one call at the chunk boundary changes nothing — or
-            // at the first invalid segment, whichever comes first.
-            let mut chunk_len = rest.len().min(room);
-            let mut pending_invalid = None;
-            for (i, seg) in rest[1..chunk_len].iter().enumerate() {
-                if let Err(e) = crate::multistream::validate_segment(seg) {
-                    chunk_len = i + 1;
-                    pending_invalid = Some(e);
-                    break;
-                }
-            }
-            let chunk = &rest[..chunk_len];
+            let (n, gated) = self
+                .admit_chunk(stream, &segs[accepted..])
+                .map_err(|e| (accepted, e))?;
+            let chunk = &segs[accepted..accepted + n];
             if self.wal_active() {
-                self.wal_append(&WalRecord::SegBatch {
-                    slot: stream.index(),
+                self.wal_append(&WalRecord::Segs {
+                    slot,
                     segs: chunk.to_vec(),
                 })
-                .map_err(|e| batch_err(accepted, e))?;
+                .map_err(|e| (accepted, e))?;
             }
-            let Some(RtSlot::Active(a)) = self.slots.get_mut(stream.index()) else {
-                unreachable!("checked active above");
-            };
-            a.mailbox.push_segments(chunk);
-            accepted += chunk.len();
-            if let Some(o) = &self.obs {
-                o.registry
-                    .add(CounterId::MailboxEnqueues, chunk.len() as u64);
+            accepted += n;
+            let fail = |e| (accepted, e);
+            if gated {
+                self.release_gated(slot, chunk[0]).map_err(fail)?;
+            } else {
+                self.stream_mut(slot).mailbox.push_segments(chunk);
+                if let Some(o) = &self.obs {
+                    // Counter-only on the enqueue path: one relaxed atomic
+                    // add per chunk, no `Instant`.
+                    o.registry.add(CounterId::MailboxEnqueues, n as u64);
+                }
             }
-            let before = self.epoch;
-            self.try_dispatch().map_err(|e| batch_err(accepted, e))?;
-            if self.epoch != before {
-                self.wal_append_barrier()
-                    .map_err(|e| batch_err(accepted, e))?;
-            }
-            if let Err(e) = self.maybe_snapshot() {
-                self.poisoned = Some(e.to_string());
-                self.obs_poison(&e.to_string());
-                return Err(batch_err(accepted, e));
-            }
-            if let Some(e) = pending_invalid {
-                return Err(batch_err(accepted, e));
-            }
+            self.dispatch_ready().map_err(fail)?;
+            self.snapshot_or_poison().map_err(fail)?;
         }
         Ok(())
+    }
+
+    /// Validate the head of `rest` without mutating anything and size the
+    /// chunk [`ingest`](Self::ingest) may accept next: `(len, gated)`.
+    ///
+    /// A gate-less chunk ends at the mailbox's remaining room — below it,
+    /// a per-segment loop's intermediate dispatch attempts are provably
+    /// no-ops (this stream is not at capacity), so one attempt at the chunk
+    /// boundary changes nothing — or before the first invalid segment,
+    /// which the next pass then rejects. A reorder-gated chunk is exactly
+    /// one arrival: it may hold or release a run, so it passes the
+    /// lateness check alone. Segment finiteness is checked here (shared
+    /// with the sequential server) so a segment that could only fail
+    /// *during* dispatch is never journaled.
+    fn admit_chunk(&self, stream: StreamId, rest: &[Segment]) -> Result<(usize, bool), SkyError> {
+        self.check_poisoned()?;
+        crate::multistream::validate_segment(&rest[0])?;
+        let a = self.open_slot(stream)?;
+        let (queued, capacity) = (a.mailbox.segments_queued(), a.mailbox.capacity());
+        if queued >= capacity {
+            if let Some(o) = &self.obs {
+                o.registry.inc(CounterId::BackpressureRejections);
+                o.flight.record(TraceEvent::Backpressure {
+                    slot: stream.index(),
+                    queued,
+                    capacity,
+                });
+            }
+            return Err(SkyError::Overloaded {
+                stream: stream.index(),
+                queued,
+                capacity,
+            });
+        }
+        if let Some(sess) = a.session.as_ref().filter(|s| s.gate_active()) {
+            if let Err(e) = sess.gate_check(&rest[0]) {
+                if let Some(o) = &self.obs {
+                    o.registry.inc(CounterId::LateSegmentRejections);
+                }
+                return Err(e);
+            }
+            return Ok((1, true));
+        }
+        let n = rest.len().min(capacity - queued);
+        let valid = rest[1..n]
+            .iter()
+            .position(|s| crate::multistream::validate_segment(s).is_err())
+            .map_or(n, |i| i + 1);
+        Ok((valid, false))
+    }
+
+    /// Route an accepted arrival through the stream's reorder gate. A hold
+    /// enqueues nothing; a gap-fill releases a burst of up to `window + 1`
+    /// segments at once. Releases enqueue one at a time, dispatching
+    /// whenever the mailbox reaches the epoch quota — exactly where the
+    /// in-order push sequence would — so a within-window degraded run
+    /// shares its epoch boundaries (and hence its outcome, bit for bit)
+    /// with the in-order run. When lagging sibling streams block that
+    /// dispatch, the release falls back to overshooting the quota (bounded
+    /// by the window): released segments are journaled input that must
+    /// never be dropped, and the dispatch loop tolerates `used > quota`.
+    fn release_gated(&mut self, slot: usize, seg: Segment) -> Result<(), SkyError> {
+        let session = self.stream_mut(slot).session.as_mut();
+        let released = session
+            .expect("active stream has a session")
+            .gate_admit(seg);
+        if let Some(o) = &self.obs {
+            if released.is_empty() {
+                o.registry.inc(CounterId::ReorderHolds);
+            } else {
+                o.registry
+                    .add(CounterId::MailboxEnqueues, released.len() as u64);
+            }
+        }
+        for r in &released {
+            let mailbox = &self.stream_mut(slot).mailbox;
+            if mailbox.segments_queued() >= mailbox.capacity() {
+                self.dispatch_ready()?;
+            }
+            self.stream_mut(slot).mailbox.force_push(r);
+        }
+        Ok(())
+    }
+
+    /// The stream behind `stream` if it still accepts input, else the typed
+    /// error a push or close to it returns.
+    fn open_slot(&self, stream: StreamId) -> Result<&RtStream<'a>, SkyError> {
+        match self.slots.get(stream.index()) {
+            None => Err(SkyError::UnknownStream { id: stream.index() }),
+            Some(RtSlot::Active(a)) if !a.mailbox.close_queued() => Ok(a),
+            Some(_) => Err(SkyError::StreamClosed { id: stream.index() }),
+        }
+    }
+
+    /// The active stream in `slot`, already checked by
+    /// [`open_slot`](Self::open_slot).
+    fn stream_mut(&mut self, slot: usize) -> &mut RtStream<'a> {
+        match self.slots.get_mut(slot) {
+            Some(RtSlot::Active(a)) => a,
+            _ => unreachable!("checked active above"),
+        }
     }
 
     /// Segments a batched push can currently enqueue for `stream` before the
@@ -944,18 +876,8 @@ impl<'a> IngestRuntime<'a> {
     /// drivers size their runs with this hint to stay allocation- and
     /// backpressure-free; pushing more is still correct, just chunked.
     pub fn mailbox_room(&self, stream: StreamId) -> Result<usize, SkyError> {
-        match self.slots.get(stream.index()) {
-            None => Err(SkyError::UnknownStream { id: stream.index() }),
-            Some(RtSlot::Closed(_)) => Err(SkyError::StreamClosed { id: stream.index() }),
-            Some(RtSlot::Active(a)) => {
-                if a.mailbox.close_queued() {
-                    return Err(SkyError::StreamClosed { id: stream.index() });
-                }
-                Ok(a.mailbox
-                    .capacity()
-                    .saturating_sub(a.mailbox.segments_queued()))
-            }
-        }
+        let m = &self.open_slot(stream)?.mailbox;
+        Ok(m.capacity().saturating_sub(m.segments_queued()))
     }
 
     /// Close a stream mid-run by queuing an in-band close marker: the
@@ -964,56 +886,23 @@ impl<'a> IngestRuntime<'a> {
     /// lease across the remaining streams.
     pub fn close_stream(&mut self, stream: StreamId) -> Result<(), SkyError> {
         self.check_poisoned()?;
-        match self.slots.get(stream.index()) {
-            None => return Err(SkyError::UnknownStream { id: stream.index() }),
-            Some(RtSlot::Closed(_)) => return Err(SkyError::StreamClosed { id: stream.index() }),
-            Some(RtSlot::Active(a)) => {
-                if a.mailbox.close_queued() {
-                    return Err(SkyError::StreamClosed { id: stream.index() });
-                }
-            }
-        }
+        self.open_slot(stream)?;
         self.wal_append(&WalRecord::Close {
             slot: stream.index(),
         })?;
-        let Some(RtSlot::Active(a)) = self.slots.get_mut(stream.index()) else {
-            unreachable!("checked active above");
-        };
-        // Release the reorder gate ahead of the close marker: held segments
-        // are journaled (accepted) input, so the close pins the stream's
-        // settlement *after* them; remaining gaps become
-        // [`ReorderStats::lost`]. Runs identically live and on replay (the
-        // drain happens after the Close record on both paths).
-        if let Some(sess) = a.session.as_mut() {
-            if sess.gate_active() {
-                let released = sess.gate_drain();
-                for r in &released {
-                    a.mailbox.force_push(r);
-                }
-                if let Some(o) = &self.obs {
-                    o.registry
-                        .add(CounterId::MailboxEnqueues, released.len() as u64);
-                }
-            }
-        }
+        let a = self.stream_mut(stream.index());
+        // Release the reorder gate ahead of the close marker, so the close
+        // pins the stream's settlement *after* the held segments. Runs
+        // identically live and on replay (the drain happens after the Close
+        // record on both paths).
+        let released = a.drain_gate();
         a.mailbox.push_close();
         if let Some(o) = &self.obs {
-            o.registry.inc(CounterId::MailboxEnqueues);
+            o.registry
+                .add(CounterId::MailboxEnqueues, released as u64 + 1);
         }
-        let before = self.epoch;
-        self.try_dispatch()?;
-        if self.epoch != before {
-            self.wal_append_barrier()?;
-        }
-        // The event is journaled and applied at this point: a snapshot
-        // failure must not read as a rejected event (a retry would feed the
-        // same input twice), so it poisons fail-stop instead.
-        let r = self.maybe_snapshot();
-        if let Err(e) = &r {
-            self.poisoned = Some(e.to_string());
-            self.obs_poison(&e.to_string());
-        }
-        r
+        self.dispatch_ready()?;
+        self.snapshot_or_poison()
     }
 
     /// Point-in-time snapshot: per-stream lag, buffer fill, spend, and
@@ -1112,13 +1001,7 @@ impl<'a> IngestRuntime<'a> {
         // a crash drains the same recovered gate state the same way.
         for slot in &mut self.slots {
             if let RtSlot::Active(a) = slot {
-                if let Some(sess) = a.session.as_mut() {
-                    if sess.gate_active() {
-                        for seg in sess.gate_drain() {
-                            a.mailbox.force_push(&seg);
-                        }
-                    }
-                }
+                a.drain_gate();
             }
         }
         self.flush()?;
@@ -1136,6 +1019,17 @@ impl<'a> IngestRuntime<'a> {
             out.streams.push(settled);
         }
         Ok(out)
+    }
+
+    /// [`try_dispatch`](Self::try_dispatch), journaling the barrier when the
+    /// epoch moved.
+    fn dispatch_ready(&mut self) -> Result<(), SkyError> {
+        let before = self.epoch;
+        self.try_dispatch()?;
+        if self.epoch != before {
+            self.wal_append_barrier()?;
+        }
+        Ok(())
     }
 
     /// Dispatch a full epoch when every active stream is ready — its
@@ -1469,20 +1363,19 @@ impl<'a> IngestRuntime<'a> {
 // ---------------------------------------------------------------------
 
 impl<'a> IngestRuntime<'a> {
+    /// Journaling is live (durability configured and not replaying) — lets
+    /// the write path skip assembling a record `wal_append` would discard.
+    fn wal_active(&self) -> bool {
+        !self.replaying && self.dur.is_some()
+    }
+
     /// Append a record to the journal (no-op without durability or while
     /// replaying). The handle opens lazily on the first accepted event; a
     /// directory that already holds a journal body or a snapshot is
     /// rejected — a dirty directory must go through
     /// [`recover`](Self::recover), not be silently appended to.
-    /// Journaling is live (durability configured and not replaying) — used
-    /// by the batched path to skip assembling a record that `wal_append`
-    /// would discard.
-    fn wal_active(&self) -> bool {
-        !self.replaying && self.dur.is_some()
-    }
-
     fn wal_append(&mut self, rec: &WalRecord) -> Result<(), SkyError> {
-        if self.replaying || self.dur.is_none() {
+        if !self.wal_active() {
             return Ok(());
         }
         self.ensure_wal()?;
@@ -1521,8 +1414,7 @@ impl<'a> IngestRuntime<'a> {
     fn wal_append_committed(&mut self, rec: &WalRecord) -> Result<(), SkyError> {
         let r = self.wal_append(rec);
         if let Err(e) = &r {
-            self.poisoned = Some(e.to_string());
-            self.obs_poison(&e.to_string());
+            self.poison(e);
         }
         r
     }
@@ -1569,8 +1461,8 @@ impl<'a> IngestRuntime<'a> {
         match &self.poisoned {
             Some(detail) => Err(SkyError::CorruptWal {
                 detail: format!(
-                    "runtime poisoned by a journal append failure after a committed state \
-                     change ({detail}); rebuild from disk via recover()"
+                    "runtime poisoned by a journal or snapshot failure after a committed \
+                     state change ({detail}); rebuild from disk via recover()"
                 ),
             }),
             None => Ok(()),
@@ -1606,18 +1498,25 @@ impl<'a> IngestRuntime<'a> {
         Ok(())
     }
 
-    /// Snapshot when the checkpoint cadence came due.
-    fn maybe_snapshot(&mut self) -> Result<(), SkyError> {
+    /// Snapshot when the checkpoint cadence came due. Runs after an event
+    /// is journaled and applied, so a snapshot failure must not read as a
+    /// rejected event (a retry would feed the same input twice): it poisons
+    /// fail-stop instead.
+    fn snapshot_or_poison(&mut self) -> Result<(), SkyError> {
         let Some(dur) = &self.dur else {
             return Ok(());
         };
-        if self.replaying || dur.checkpoint_every_epochs == 0 {
+        if self.replaying
+            || dur.checkpoint_every_epochs == 0
+            || self.epoch.saturating_sub(self.last_ckpt_epoch) < dur.checkpoint_every_epochs
+        {
             return Ok(());
         }
-        if self.epoch.saturating_sub(self.last_ckpt_epoch) < dur.checkpoint_every_epochs {
-            return Ok(());
+        let r = self.checkpoint_now();
+        if let Err(e) = &r {
+            self.poison(e);
         }
-        self.checkpoint_now()
+        r
     }
 
     /// Atomically snapshot the full runtime state to `runtime.ckpt` and
@@ -1824,12 +1723,6 @@ impl<'a> IngestRuntime<'a> {
         // writer (events are validated before journaling), so they mark a
         // crafted or inconsistent journal.
         let structural = |e: &SkyError| {
-            // Batched replays wrap the per-segment error; classify the
-            // source, not the wrapper.
-            let e = match e {
-                SkyError::BatchFailed { source, .. } => source.as_ref(),
-                other => other,
-            };
             matches!(
                 e,
                 SkyError::UnknownStream { .. }
@@ -1912,13 +1805,10 @@ impl<'a> IngestRuntime<'a> {
                         });
                     }
                 }
-                WalRecord::Seg { slot, seg } => {
-                    replayed_segments += 1;
-                    tolerate(rt.push(StreamId::from_index(slot), &seg))?;
-                }
-                WalRecord::SegBatch { slot, segs } => {
+                WalRecord::Segs { slot, segs } => {
                     replayed_segments += segs.len();
-                    tolerate(rt.push_batch(StreamId::from_index(slot), &segs))?;
+                    let r = rt.ingest(StreamId::from_index(slot), &segs);
+                    tolerate(r.map_err(|(_, e)| e))?;
                 }
                 WalRecord::Close { slot } => {
                     tolerate(rt.close_stream(StreamId::from_index(slot)))?;

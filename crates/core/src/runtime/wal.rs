@@ -5,13 +5,14 @@
 //!
 //! * **`runtime.wal`** — an append-only journal of every *accepted* input
 //!   event, written before the event mutates any state: stream admissions
-//!   (`Open`, with the caller's [`IngestOptions`]), accepted segments
-//!   (`Seg`), in-band closures (`Close`), the partial-epoch deliveries a
-//!   mid-run admission forces (`Flush`), and epoch-barrier settlements
-//!   (`Barrier`, an integrity cross-check for replay). Each record is framed
-//!   `u32 len · u64 word-wise FNV-1a checksum · body` with a monotone
-//!   sequence number in the body, reusing the knowledge-base codec
-//!   primitives (little-endian integers, floats as raw bits).
+//!   (`Open`, with the caller's [`IngestOptions`]), accepted runs of
+//!   segments (`Segs`, one per chunk the write path accepts — a single
+//!   `push` is a run of one), in-band closures (`Close`), the partial-epoch
+//!   deliveries a mid-run admission forces (`Flush`), and epoch-barrier
+//!   settlements (`Barrier`, an integrity cross-check for replay). Each
+//!   record is framed `u32 len · u64 word-wise FNV-1a checksum · body` with
+//!   a monotone sequence number in the body, reusing the knowledge-base
+//!   codec primitives (little-endian integers, floats as raw bits).
 //! * **`runtime.ckpt`** — a periodic snapshot of the *entire* runtime state:
 //!   per-stream [`SessionCheckpoint`]s (RNG words included), mailbox
 //!   contents, epoch bookkeeping, the joint-plan record, and the settled
@@ -49,10 +50,11 @@ use crate::online::session::{
 
 const WAL_MAGIC: &[u8; 6] = b"SKYWAL";
 const CKPT_MAGIC: &[u8; 6] = b"SKYCKP";
-/// Journal and checkpoint layout version. Version 4 byte-packs the
-/// sessions' category histories and switched the frame checksum to the
-/// word-wise fold.
-const VERSION: u16 = 4;
+/// Journal and checkpoint layout version. Version 5 journals every
+/// accepted segment as a `Segs` run (the single-segment record kind 2 is
+/// gone); version 4 byte-packed the sessions' category histories and
+/// switched the frame checksum to the word-wise fold.
+const VERSION: u16 = 5;
 
 /// Bytes of the journal's file header (magic + version). Public to the
 /// crate so the chaos helpers can avoid tearing into the header.
@@ -98,14 +100,11 @@ pub(crate) enum WalRecord {
         workload_id: String,
         options: IngestOptions,
     },
-    /// One accepted segment for a stream.
-    Seg { slot: usize, seg: Segment },
-    /// A run of segments accepted together by a batched push — one fused
-    /// frame (one length/checksum header, one syscall) instead of one per
-    /// segment. Replay feeds the run back through the batched path;
-    /// semantically the record is exactly `segs.len()` consecutive [`Seg`]
-    /// records for the same slot.
-    SegBatch { slot: usize, segs: Vec<Segment> },
+    /// A run of segments one stream accepted together — the only segment
+    /// record. The runtime's write path journals one per accepted chunk
+    /// (one frame, one syscall), and replay feeds it back through that
+    /// same path.
+    Segs { slot: usize, segs: Vec<Segment> },
     /// An accepted in-band close marker.
     Close { slot: usize },
     /// The partial-epoch delivery an admission attempt forces *before* its
@@ -174,12 +173,7 @@ fn encode_record(seq: u64, rec: &WalRecord) -> Vec<u8> {
             e.str(workload_id);
             enc_options(&mut e, options);
         }
-        WalRecord::Seg { slot, seg } => {
-            e.u8(2);
-            e.usize(*slot);
-            enc_segment(&mut e, seg);
-        }
-        WalRecord::SegBatch { slot, segs } => {
+        WalRecord::Segs { slot, segs } => {
             e.u8(7);
             e.usize(*slot);
             e.usize(segs.len());
@@ -231,10 +225,6 @@ fn decode_record(body: &[u8]) -> DecodeResult<(u64, WalRecord)> {
             workload_id: d.str("open workload_id")?,
             options: dec_options(&mut d)?,
         },
-        2 => WalRecord::Seg {
-            slot: d.usize("seg slot")?,
-            seg: dec_segment(&mut d)?,
-        },
         3 => WalRecord::Close {
             slot: d.usize("close slot")?,
         },
@@ -256,20 +246,22 @@ fn decode_record(body: &[u8]) -> DecodeResult<(u64, WalRecord)> {
             dedup: dec_opt(&mut d, "config dedup", dedupe::dec_policy)?,
         },
         7 => {
-            let slot = d.usize("seg batch slot")?;
+            let slot = d.usize("segs slot")?;
             // One encoded segment is 49 bytes (u64 + 5 f64 + bool) — the
             // length guard refuses a corrupt count before allocating.
-            let n = d.len(49, "seg batch len")?;
+            let n = d.len(49, "segs len")?;
             let mut segs = Vec::with_capacity(n);
             for _ in 0..n {
                 segs.push(dec_segment(&mut d)?);
             }
-            WalRecord::SegBatch { slot, segs }
+            WalRecord::Segs { slot, segs }
         }
         8 => WalRecord::DedupHit {
             hits: d.u64("dedup hits")?,
             lookups: d.u64("dedup lookups")?,
         },
+        // Kind 2 was the single-segment record before version 5; a run of
+        // one is now a kind-7 record, so kind 2 is refused like any other.
         k => return Err(format!("unknown record kind {k}")),
     };
     codec::expect_finished(&d, "journal record")?;
@@ -799,13 +791,13 @@ mod tests {
                 options: IngestOptions::default(),
             },
             WalRecord::Barrier { epoch: 1 },
-            WalRecord::Seg {
+            WalRecord::Segs {
                 slot: 0,
-                seg: seg(0),
+                segs: vec![seg(0)],
             },
-            WalRecord::Seg {
-                slot: 0,
-                seg: seg(1),
+            WalRecord::Segs {
+                slot: 2,
+                segs: vec![seg(1), seg(2), seg(3)],
             },
             WalRecord::DedupHit {
                 hits: 3,
@@ -853,14 +845,12 @@ mod tests {
                 (WalRecord::Barrier { epoch }, WalRecord::Barrier { epoch: e2 }) => {
                     assert_eq!(epoch, e2)
                 }
-                (WalRecord::Seg { slot, seg }, WalRecord::Seg { slot: s2, seg: g2 }) => {
+                (WalRecord::Segs { slot, segs }, WalRecord::Segs { slot: s2, segs: g2 }) => {
                     assert_eq!(slot, s2);
-                    assert_eq!(seg.index, g2.index);
-                    assert_eq!(seg.bytes.to_bits(), g2.bytes.to_bits());
-                    assert_eq!(
-                        seg.content.difficulty.to_bits(),
-                        g2.content.difficulty.to_bits()
-                    );
+                    let words = |v: &[Segment]| -> Vec<_> {
+                        v.iter().map(Segment::identity_words).collect()
+                    };
+                    assert_eq!(words(segs), words(g2));
                 }
                 (WalRecord::Close { slot }, WalRecord::Close { slot: s2 }) => {
                     assert_eq!(slot, s2)
@@ -1054,6 +1044,64 @@ mod tests {
         let scan = read_journal(&dir).expect("scan");
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].0, 7, "sequence numbers keep counting");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Frame a hand-built record body the way [`Wal::append`] does.
+    fn frame(body: &[u8]) -> Vec<u8> {
+        let mut f = Vec::new();
+        f.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        f.extend_from_slice(&codec::checksum(body).to_le_bytes());
+        f.extend_from_slice(body);
+        f
+    }
+
+    /// Write a journal holding exactly one framed, checksum-valid record.
+    fn write_single_record(dir: &Path, body: &[u8]) {
+        drop(Wal::open(dir, 0).expect("open"));
+        let mut bytes = fs::read(wal_file(dir)).expect("read header");
+        bytes.extend_from_slice(&frame(body));
+        fs::write(wal_file(dir), &bytes).expect("write");
+    }
+
+    #[test]
+    fn segs_count_beyond_the_body_is_typed_before_allocating() {
+        let dir = tmpdir("segs-count");
+        // A settled `Segs` record claiming 2^40 segments over a one-segment
+        // body: the length guard must refuse it before reserving memory.
+        let mut e = Enc::new();
+        e.u64(0);
+        e.u8(7);
+        e.usize(0);
+        e.usize(1 << 40);
+        enc_segment(&mut e, &seg(0));
+        write_single_record(&dir, &e.into_bytes());
+        match read_journal(&dir) {
+            Err(SkyError::CorruptWal { detail }) => {
+                assert!(detail.contains("segs len"), "{detail}")
+            }
+            other => panic!("expected typed CorruptWal, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retired_single_segment_record_kind_is_refused_typed() {
+        let dir = tmpdir("kind-2");
+        // The pre-version-5 single-segment layout: seq · kind 2 · slot ·
+        // one segment. Checksum-valid, so it is corruption, not a tear.
+        let mut e = Enc::new();
+        e.u64(0);
+        e.u8(2);
+        e.usize(0);
+        enc_segment(&mut e, &seg(0));
+        write_single_record(&dir, &e.into_bytes());
+        match read_journal(&dir) {
+            Err(SkyError::CorruptWal { detail }) => {
+                assert!(detail.contains("unknown record kind 2"), "{detail}")
+            }
+            other => panic!("expected typed CorruptWal, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -660,6 +660,92 @@ fn overflow_storm_is_typed_backpressure_and_leaves_no_trace() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Fail-stop contract: a snapshot that fails *after* its chunk was
+/// journaled and applied poisons the runtime. The failing `push_batch`
+/// reports exactly the count recovery later restores (a client that
+/// trusts the error never re-feeds a durable segment), every later call is
+/// typed `CorruptWal`, and once the fault clears, recover + re-feed +
+/// finish is bitwise the uninterrupted in-memory run.
+#[test]
+fn snapshot_failure_poisons_and_recovery_agrees_with_the_error() {
+    let (w, m, segs) = &fixture()[0];
+    let total = 3 * QUOTA + 20;
+    for window in [None, Some(4)] {
+        let opts = IngestOptions {
+            reorder_window: window,
+            ..IngestOptions::default()
+        };
+        let expected = {
+            let mut rt = IngestRuntime::new(config(2, None, None));
+            let a = rt.open_stream("cam-0", m, w, opts.clone()).unwrap();
+            rt.push_batch(a, &segs[..total]).expect("in-memory run");
+            rt.finish().expect("finish")
+        };
+
+        let dir = tmpdir(&format!("poison-{window:?}"));
+        let mut cfg = config(2, Some(&dir), None);
+        cfg.durability
+            .as_mut()
+            .expect("dur")
+            .checkpoint_every_epochs = 1;
+        let mut rt = IngestRuntime::new(cfg.clone());
+        let a = rt.open_stream("cam-0", m, w, opts.clone()).unwrap();
+        // The first push crosses the admission epoch and snapshots fine.
+        rt.push_batch(a, &segs[..10]).expect("first snapshot");
+        assert!(vetl::skyscraper::runtime::checkpoint_path(&dir).exists());
+        // Block the next snapshot: its temp file cannot be created.
+        let block = dir.join("runtime.ckpt.tmp");
+        std::fs::create_dir(&block).expect("block the snapshot");
+        let accepted = match rt.push_batch(a, &segs[10..total]) {
+            Err(SkyError::BatchFailed { accepted, source }) => {
+                assert!(matches!(*source, SkyError::WalIo { .. }), "{source}");
+                accepted
+            }
+            other => panic!("{window:?}: blocked snapshot must fail the batch, got {other:?}"),
+        };
+        assert!(
+            accepted > 0,
+            "{window:?}: chunks before the snapshot were accepted"
+        );
+
+        // Poisoned: every operation is refused typed, none mutates.
+        let poisoned = |e: &SkyError| matches!(e, SkyError::CorruptWal { .. });
+        assert!(poisoned(&rt.push(a, &segs[total]).unwrap_err()));
+        match rt.push_batch(a, &segs[total..total + 2]).unwrap_err() {
+            SkyError::BatchFailed {
+                accepted: 0,
+                source,
+            } => assert!(poisoned(&source)),
+            other => panic!("expected BatchFailed(CorruptWal), got {other:?}"),
+        }
+        assert!(poisoned(&rt.close_stream(a).unwrap_err()));
+        assert!(poisoned(&rt.checkpoint_now().unwrap_err()));
+        assert!(poisoned(
+            &rt.open_stream("cam-1", m, w, opts.clone()).unwrap_err()
+        ));
+        assert!(poisoned(&rt.finish().unwrap_err()));
+
+        // Clear the fault, recover, and resume from what recovery reports.
+        std::fs::remove_dir(&block).expect("unblock");
+        let resolve = |_: usize, _: &str| Some((m, w as &(dyn Workload + 'static)));
+        let (mut rt, report) = IngestRuntime::recover(cfg, &resolve).expect("recover");
+        let durable = report.streams[0].accepted_segments;
+        assert_eq!(
+            durable,
+            10 + accepted,
+            "{window:?}: the error's accepted count is the durable count"
+        );
+        rt.push_batch(a, &segs[durable..total]).expect("re-feed");
+        let recovered = rt.finish().expect("finish");
+        assert_multi_outcomes_bitwise_equal(
+            &format!("poisoned + recovered, window {window:?}"),
+            &expected,
+            &recovered,
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn journaled_config_overrides_a_mismatched_recovery_config() {
     // The journal's first record pins the run's planning configuration

@@ -13,10 +13,8 @@ use std::sync::OnceLock;
 
 use vetl::prelude::*;
 use vetl::skyscraper::offline::run_offline;
-use vetl::skyscraper::testkit::{
-    assert_multi_outcomes_bitwise_equal, assert_outcomes_bitwise_equal, ToyWorkload,
-};
-use vetl::skyscraper::{FittedModel, MultiOutcome, StepReport};
+use vetl::skyscraper::testkit::{assert_multi_outcomes_bitwise_equal, ToyWorkload};
+use vetl::skyscraper::{FittedModel, MultiOutcome};
 
 const SHARED_BUDGET_USD: f64 = 0.5;
 const REPLAN_SECS: f64 = 1_800.0;
@@ -555,65 +553,6 @@ fn runtime_rejects_unknown_closed_and_under_provisioned_streams() {
 
 // ---- Batched ingest: `push_batch` == the per-segment `push` loop. ----
 
-fn assert_step_reports_bitwise_equal(ctx: &str, a: &StepReport, b: &StepReport) {
-    assert_eq!(a.seg_index, b.seg_index, "{ctx}: seg_index");
-    assert_eq!(a.t_secs.to_bits(), b.t_secs.to_bits(), "{ctx}: t_secs");
-    assert_eq!(a.category, b.category, "{ctx}: category");
-    assert_eq!(a.config, b.config, "{ctx}: config");
-    assert_eq!(a.placement, b.placement, "{ctx}: placement");
-    assert_eq!(a.deviated, b.deviated, "{ctx}: deviated");
-    assert_eq!(a.switched, b.switched, "{ctx}: switched");
-    assert_eq!(a.replanned, b.replanned, "{ctx}: replanned");
-    assert_eq!(
-        a.buffer_bytes.to_bits(),
-        b.buffer_bytes.to_bits(),
-        "{ctx}: buffer_bytes"
-    );
-    assert_eq!(
-        a.backlog_work.to_bits(),
-        b.backlog_work.to_bits(),
-        "{ctx}: backlog_work"
-    );
-}
-
-#[test]
-fn session_push_batch_matches_push_loop_bitwise() {
-    let (w, m, segs) = &fixture()[0];
-    let n = 1_500;
-    let mk = || {
-        IngestSession::with_stream_stats(
-            m,
-            w,
-            IngestOptions::default(),
-            StreamStats::from_segments(&segs[..n]),
-        )
-    };
-
-    let mut by_loop = mk();
-    let mut loop_reports = Vec::with_capacity(n);
-    for seg in &segs[..n] {
-        loop_reports.push(by_loop.push(seg).expect("push"));
-    }
-
-    // Uneven chunks, sized so chunk boundaries never line up with replan
-    // boundaries: the batch path must reproduce every report bit for bit.
-    let mut by_batch = mk();
-    let mut batch_reports = Vec::with_capacity(n);
-    for chunk in segs[..n].chunks(313) {
-        batch_reports.extend(by_batch.push_batch(chunk).expect("push_batch"));
-    }
-
-    assert_eq!(loop_reports.len(), batch_reports.len());
-    for (i, (a, b)) in loop_reports.iter().zip(&batch_reports).enumerate() {
-        assert_step_reports_bitwise_equal(&format!("report {i}"), a, b);
-    }
-    assert_outcomes_bitwise_equal(
-        "session batch == loop",
-        &by_loop.finish(),
-        &by_batch.finish(),
-    );
-}
-
 fn batch_runtime(shards: usize, dir: Option<&PathBuf>) -> IngestRuntime<'static> {
     IngestRuntime::new(RuntimeConfig {
         shards,
@@ -623,8 +562,8 @@ fn batch_runtime(shards: usize, dir: Option<&PathBuf>) -> IngestRuntime<'static>
         total_cores: Some(TOTAL_CORES),
         durability: dir.map(|d| DurabilityConfig {
             dir: d.clone(),
-            // Journal-only durability: recovery must replay the fused
-            // SegBatch records, not shortcut through a snapshot.
+            // Journal-only durability: recovery must replay the `Segs`
+            // run records, not shortcut through a snapshot.
             checkpoint_every_epochs: 0,
         }),
         ..RuntimeConfig::default()
@@ -895,7 +834,7 @@ fn batched_ingest_wal_is_deterministic_and_replays_bitwise() {
         dir
     };
 
-    // The fused SegBatch framing is deterministic: two identical batched
+    // The `Segs` run framing is deterministic: two identical batched
     // runs journal byte-identical files.
     let (dir1, dir2) = (tmp("a"), tmp("b"));
     {
@@ -912,8 +851,8 @@ fn batched_ingest_wal_is_deterministic_and_replays_bitwise() {
     assert_eq!(wal1, wal2, "batched WAL bytes are deterministic");
     let _ = std::fs::remove_dir_all(&dir2);
 
-    // Recover from the batched journal (replaying SegBatch records through
-    // push_batch), resume with batches, and finish: bitwise identical to
+    // Recover from the batched journal (replaying `Segs` records through
+    // the same write path), resume with batches, and finish: bitwise identical to
     // the uninterrupted per-segment loop. The recovery even changes the
     // shard count.
     let resolve = |slot: usize, id: &str| {
