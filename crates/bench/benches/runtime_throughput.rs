@@ -7,6 +7,7 @@
 //! `runtime` section to `BENCH_offline.json`. The two drives must produce
 //! bitwise-identical per-stream outcomes — the subsystem's determinism
 //! contract — so the speedup column measures pure scheduling, not drift.
+//! Each leg is timed [`REPS`] times and reports its median repetition.
 
 use std::time::Instant;
 
@@ -20,6 +21,10 @@ use vetl_workloads::{PaperWorkload, MACHINES};
 const STREAMS: usize = 64;
 const SERVE_SEGS: usize = 1_800;
 const REPLAN_SECS: f64 = 1_800.0;
+/// Timed repetitions per leg. One serve takes ~0.1 s, and single serves of
+/// the same binary read 0.56M–1.50M segs/s from run to run on a shared
+/// 2-core box — too wide for a same-machine A/B to resolve 10 %.
+const REPS: usize = 5;
 
 struct Drive {
     admit_secs: f64,
@@ -95,6 +100,24 @@ fn drive(fitted: &Fitted, shards: usize, batched: bool) -> Drive {
     }
 }
 
+/// [`drive`] `REPS` times and keep the repetition with the median serve
+/// time; every repetition must reproduce the first bitwise.
+fn median_drive(fitted: &Fitted, shards: usize, batched: bool) -> Drive {
+    let mut runs: Vec<Drive> = (0..REPS).map(|_| drive(fitted, shards, batched)).collect();
+    for run in &runs[1..] {
+        for (a, b) in runs[0].out.streams.iter().zip(&run.out.streams) {
+            assert_eq!(
+                a.outcome.mean_quality.to_bits(),
+                b.outcome.mean_quality.to_bits(),
+                "stream {} diverged between repetitions",
+                a.workload_id
+            );
+        }
+    }
+    runs.sort_by(|a, b| a.serve_secs.total_cmp(&b.serve_secs));
+    runs.swap_remove(REPS / 2)
+}
+
 fn main() {
     let scale = data_scale();
     let cores = detect_cores();
@@ -112,9 +135,9 @@ fn main() {
 
     let fitted = vetl_bench::fit_on(PaperWorkload::Covid, &MACHINES[2], scale);
 
-    let single = drive(&fitted, 1, false);
-    let multi = drive(&fitted, multi_shards, false);
-    let batched = drive(&fitted, 1, true);
+    let single = median_drive(&fitted, 1, false);
+    let multi = median_drive(&fitted, multi_shards, false);
+    let batched = median_drive(&fitted, 1, true);
 
     // Determinism contract: neither the shard count nor the batched feed
     // may change a single bit.
@@ -177,6 +200,7 @@ fn main() {
             ("streams", jnum(STREAMS as f64)),
             ("segments", jnum(single.segments as f64)),
             ("cores_detected", jnum(cores as f64)),
+            ("reps", jnum(REPS as f64)),
             ("admit_secs", jnum(single.admit_secs)),
             ("single_shard_serve_secs", jnum(single.serve_secs)),
             ("single_shard_segs_per_sec", jnum(rate(&single))),

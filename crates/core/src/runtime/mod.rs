@@ -748,7 +748,7 @@ impl<'a> IngestRuntime<'a> {
             if self.wal_active() {
                 self.wal_append(&WalRecord::Segs {
                     slot,
-                    segs: chunk.to_vec(),
+                    segs: chunk.into(),
                 })
                 .map_err(|e| (accepted, e))?;
             }
@@ -1374,7 +1374,7 @@ impl<'a> IngestRuntime<'a> {
     /// directory that already holds a journal body or a snapshot is
     /// rejected — a dirty directory must go through
     /// [`recover`](Self::recover), not be silently appended to.
-    fn wal_append(&mut self, rec: &WalRecord) -> Result<(), SkyError> {
+    fn wal_append(&mut self, rec: &WalRecord<'_>) -> Result<(), SkyError> {
         if !self.wal_active() {
             return Ok(());
         }
@@ -1411,7 +1411,7 @@ impl<'a> IngestRuntime<'a> {
     /// committed** (admissions, barrier settlements — records only knowable
     /// post-commit). An append failure here poisons the runtime: see the
     /// [`poisoned`](Self#structfield.poisoned) field.
-    fn wal_append_committed(&mut self, rec: &WalRecord) -> Result<(), SkyError> {
+    fn wal_append_committed(&mut self, rec: &WalRecord<'_>) -> Result<(), SkyError> {
         let r = self.wal_append(rec);
         if let Err(e) = &r {
             self.poison(e);

@@ -34,6 +34,7 @@
 //! is *corruption*, surfaced as typed [`SkyError::CorruptWal`], never a
 //! panic.
 
+use std::borrow::Cow;
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -92,7 +93,7 @@ fn corrupt(detail: impl Into<String>) -> SkyError {
 /// runtime's state exactly — the runtime is a deterministic function of
 /// this sequence.
 #[derive(Debug, Clone)]
-pub(crate) enum WalRecord {
+pub(crate) enum WalRecord<'a> {
     /// A successful admission: slot index, caller id, caller options (as
     /// passed in — the per-slot seed derivation is re-applied on replay).
     Open {
@@ -102,9 +103,12 @@ pub(crate) enum WalRecord {
     },
     /// A run of segments one stream accepted together — the only segment
     /// record. The runtime's write path journals one per accepted chunk
-    /// (one frame, one syscall), and replay feeds it back through that
-    /// same path.
-    Segs { slot: usize, segs: Vec<Segment> },
+    /// (one frame, one syscall), borrowing the chunk, and replay feeds the
+    /// decoded run back through that same path.
+    Segs {
+        slot: usize,
+        segs: Cow<'a, [Segment]>,
+    },
     /// An accepted in-band close marker.
     Close { slot: usize },
     /// The partial-epoch delivery an admission attempt forces *before* its
@@ -159,7 +163,7 @@ pub(crate) fn dec_segment(d: &mut Dec) -> DecodeResult<Segment> {
     })
 }
 
-fn encode_record(seq: u64, rec: &WalRecord) -> Vec<u8> {
+fn encode_record(seq: u64, rec: &WalRecord<'_>) -> Vec<u8> {
     let mut e = Enc::new();
     e.u64(seq);
     match rec {
@@ -177,7 +181,7 @@ fn encode_record(seq: u64, rec: &WalRecord) -> Vec<u8> {
             e.u8(7);
             e.usize(*slot);
             e.usize(segs.len());
-            for seg in segs {
+            for seg in segs.iter() {
                 enc_segment(&mut e, seg);
             }
         }
@@ -216,7 +220,7 @@ fn encode_record(seq: u64, rec: &WalRecord) -> Vec<u8> {
     e.into_bytes()
 }
 
-fn decode_record(body: &[u8]) -> DecodeResult<(u64, WalRecord)> {
+fn decode_record(body: &[u8]) -> DecodeResult<(u64, WalRecord<'static>)> {
     let mut d = Dec::new(body);
     let seq = d.u64("record seq")?;
     let rec = match d.u8("record kind")? {
@@ -254,7 +258,10 @@ fn decode_record(body: &[u8]) -> DecodeResult<(u64, WalRecord)> {
             for _ in 0..n {
                 segs.push(dec_segment(&mut d)?);
             }
-            WalRecord::Segs { slot, segs }
+            WalRecord::Segs {
+                slot,
+                segs: segs.into(),
+            }
         }
         8 => WalRecord::DedupHit {
             hits: d.u64("dedup hits")?,
@@ -327,7 +334,7 @@ impl Wal {
     /// records live in the page cache until writeback, so a power loss can
     /// drop a journal suffix — which recovery then treats exactly like a
     /// torn tail (detected, truncated, re-fed by the driver).
-    pub(crate) fn append(&mut self, rec: &WalRecord) -> Result<u64, SkyError> {
+    pub(crate) fn append(&mut self, rec: &WalRecord<'_>) -> Result<u64, SkyError> {
         if self.broken {
             return Err(corrupt(format!(
                 "{}: journal ends in an unrewindable partial frame after a failed append; \
@@ -395,7 +402,7 @@ impl Wal {
 #[derive(Debug)]
 pub(crate) struct JournalScan {
     /// Valid records in order.
-    pub(crate) records: Vec<(u64, WalRecord)>,
+    pub(crate) records: Vec<(u64, WalRecord<'static>)>,
     /// Bytes of torn tail that were discarded (and physically truncated).
     pub(crate) discarded_bytes: u64,
 }
@@ -782,7 +789,7 @@ mod tests {
         s
     }
 
-    fn sample_records() -> Vec<WalRecord> {
+    fn sample_records() -> Vec<WalRecord<'static>> {
         vec![
             WalRecord::Flush,
             WalRecord::Open {
@@ -793,11 +800,11 @@ mod tests {
             WalRecord::Barrier { epoch: 1 },
             WalRecord::Segs {
                 slot: 0,
-                segs: vec![seg(0)],
+                segs: vec![seg(0)].into(),
             },
             WalRecord::Segs {
                 slot: 2,
-                segs: vec![seg(1), seg(2), seg(3)],
+                segs: vec![seg(1), seg(2), seg(3)].into(),
             },
             WalRecord::DedupHit {
                 hits: 3,
